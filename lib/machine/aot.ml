@@ -9,13 +9,18 @@
    host toolchain and Dynlink-loads the result.  The generated module
    speaks only the {!Aot_runtime} ABI.
 
-   Soundness mirrors tier-1's argument: a block is entered only when
-   its worst-case cycle cost fits under the caller's horizon, every
-   instruction reproduces {!State.step}'s semantics exactly, and any PC
-   without a compiled block returns to the host ([stop_miss]) with no
-   partial instruction executed.  Stop points and every architectural
-   counter are therefore bit-identical to tiers 0/1 under any block
-   partitioning; test/test_tiers.ml enforces this differentially.
+   Superblocks come from tier-1's former ({!Block.form}); data-space
+   accesses the generated code cannot resolve to plain SRAM, IN/OUT and
+   LPM go through the ctx closures, which call {!State.read8},
+   {!State.write8}, the I/O-area dispatch {!State.io_load}/
+   {!State.io_store} and {!State.lpm_byte}.  The emitter's register and
+   flag arithmetic is the one other statement of the instruction
+   semantics, checked against {!State.exec_op} by test/test_tiers.ml.
+   A block is entered only when its worst-case cycle cost fits under
+   the caller's horizon, and any PC without a compiled block returns to
+   the host ([stop_miss]) with no partial instruction executed, so stop
+   points and every architectural counter match tiers 0/1 under any
+   block partitioning.
 
    Flag elision: flags are fully lazy.  An ALU instruction emits no
    flag code at all — each SREG bit it writes is recorded as a pure
@@ -89,46 +94,8 @@ let digest_of (m : t) : string =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Block discovery: the same superblock shape as {!Block.compile}
-   (max_body cap, ends_block terminators, conditional branches as
-   in-body side exits), found statically from the flash image alone. *)
-
-type tblock = {
-  body : (Isa.t * int) array;  (* (insn, own word address) *)
-  term : Isa.t option;  (* block-ending insn, at [term_pc]; None = cap *)
-  term_pc : int;
-  worst : int;  (* upper bound on cycles one execution consumes *)
-  retired : int;  (* instructions retired by a full (non-side-exit) run *)
-}
-
-let collect_block fetch entry : tblock option =
-  let rec go pc acc n worst insns =
-    if n >= Block.max_body then fin pc acc None worst insns
-    else
-      match Decode.at fetch pc with
-      | exception Decode.Unknown_opcode _ ->
-        if pc = entry then None else fin pc acc None worst insns
-      | insn, size ->
-        if Isa.ends_block insn then
-          fin pc acc (Some insn) (worst + Cycles.base insn) (insns + 1)
-        else
-          let extra =
-            if Isa.is_cond_branch insn then Cycles.branch_taken_extra else 0
-          in
-          go (pc + size)
-            ((insn, pc) :: acc)
-            (n + 1)
-            (worst + Cycles.base insn + extra)
-            (insns + 1)
-  and fin pc acc term worst insns =
-    Some
-      { body = Array.of_list (List.rev acc);
-        term;
-        term_pc = pc;
-        worst;
-        retired = insns }
-  in
-  go entry [] 0 0 0
+(* Block discovery: superblocks come from {!Block.form}, found statically
+   from the flash image alone. *)
 
 (* Runaway backstop, far above any realistic image: discovery stops
    adding blocks past this count; uncovered entries simply miss to
@@ -142,7 +109,7 @@ let max_blocks = 4096
    pure function of the image, which keeps the digest → artifact map
    exact), plus block fall-throughs and call return sites found while
    collecting. *)
-let discover fetch hi : (int, tblock) Hashtbl.t =
+let discover fetch hi : (int, Block.superblock) Hashtbl.t =
   let blocks = Hashtbl.create 64 in
   let seen = Hashtbl.create 64 in
   let pending = Queue.create () in
@@ -166,7 +133,7 @@ let discover fetch hi : (int, tblock) Hashtbl.t =
   done;
   while (not (Queue.is_empty pending)) && Hashtbl.length blocks < max_blocks do
     let pc = Queue.pop pending in
-    match collect_block fetch pc with
+    match Block.form fetch pc with
     | None -> ()
     | Some b ->
       Hashtbl.replace blocks pc b;
@@ -553,8 +520,8 @@ let emit_ptr st (p : Isa.ptr) : string =
    below the I/O frontier or past the end of SRAM.  Stack traffic —
    push/pop/frame loads, the bulk of compiled code's memory ops — thus
    costs a bounds test and a [Bytes] access.  [a] is always a bound
-   atom [<= 0xFFFF + 63], so the closure's [land 0xFFFF] is a no-op on
-   the fast range and semantics match [make_ctx] exactly, counters
+   atom [<= 0xFFFF + 63], so {!State.read8}'s [land 0xFFFF] is a no-op
+   on the fast range and semantics match it exactly, counters
    included. *)
 let read8_expr a =
   Printf.sprintf
@@ -807,7 +774,7 @@ let inline_budget = 192
 let rec goto st blocks tgt ~extra ~bump ~budget =
   let tgt = tgt land 0xFFFF in
   match (if !budget > 0 then Hashtbl.find_opt blocks tgt else None) with
-  | Some tb when tb.retired <= !budget ->
+  | Some (tb : Block.superblock) when tb.retired <= !budget ->
     budget := !budget - tb.retired;
     let saved = save_st st in
     st.cyc <- st.cyc + extra;
@@ -832,7 +799,7 @@ let rec goto st blocks tgt ~extra ~bump ~budget =
 
 (* Emit the body and terminator of [b] continuing from the current
    emitter state; closes every side-exit arm it opens. *)
-and emit_seq st blocks (b : tblock) ~budget =
+and emit_seq st blocks (b : Block.superblock) ~budget =
   let ends0 = st.ends in
   Array.iter
     (fun (insn, pc) ->
@@ -860,7 +827,7 @@ and emit_seq st blocks (b : tblock) ~budget =
   done
 
 (* Emit the terminator (or the cap/undecodable fall-through). *)
-and emit_term st blocks (b : tblock) ~budget =
+and emit_term st blocks (b : Block.superblock) ~budget =
   let push16 v =
     emit_write8 st "c.sp" (string_of_int (v land 0xFF));
     stmt st "c.sp <- (c.sp - 1) land 0xFFFF;";
@@ -923,7 +890,7 @@ and emit_term st blocks (b : tblock) ~budget =
        stmt st "c.stop <- 4"
      | _ -> invalid_arg "Aot.emit_term: not a block terminator")
 
-let emit_block st blocks entry (b : tblock) ~first =
+let emit_block st blocks entry (b : Block.superblock) ~first =
   Array.fill st.env 0 32 None;
   Array.fill st.dirty 0 32 false;
   st.sgb <- None;
@@ -1261,61 +1228,69 @@ let build_and_load ~digest ~source : bool =
            false)))
 
 (* ------------------------------------------------------------------ *)
-(* Host-side ctx: closures that replicate State.read8/write8 and the
-   IN/OUT/LPM arms of State.step against ctx-held machine scalars
-   (ctx.pc/sp/sreg/cycles and the access counters are authoritative
-   while compiled code runs; regs and sram are aliased directly). *)
+(* Host-side ctx.  While compiled code runs, the ctx scalars are the
+   authoritative machine state (regs and sram are aliased directly);
+   [to_ctx]/[of_ctx] move them across.  The run loop brackets [enter]
+   with them, and so do the generic [read8]/[write8] closures around
+   {!State.read8}/{!State.write8} (the other way round).  IN/OUT are
+   the hot host calls — every SP and SREG access of compiled code goes
+   through them, about one call per 13 instructions on the benchmark's
+   firmware images — so they count on the ctx themselves and move only
+   SP, SREG and the clock before handing the access to the I/O-area
+   dispatch {!State.io_load}/{!State.io_store}: a full copy pair there
+   cost the firmware workload ~15% of its simulated MIPS. *)
+
+let[@inline] to_ctx (m : t) (c : Aot_runtime.ctx) =
+  c.pc <- m.pc land 0xFFFF;
+  c.sp <- m.sp;
+  c.sreg <- m.sreg;
+  c.cycles <- m.cycles;
+  c.insns <- m.insns;
+  c.mem_reads <- m.mem_reads;
+  c.mem_writes <- m.mem_writes;
+  c.io_reads <- m.io_reads;
+  c.io_writes <- m.io_writes
+
+let[@inline] of_ctx (m : t) (c : Aot_runtime.ctx) =
+  m.pc <- c.pc;
+  m.sp <- c.sp;
+  m.sreg <- c.sreg;
+  m.cycles <- c.cycles;
+  m.insns <- c.insns;
+  m.mem_reads <- c.mem_reads;
+  m.mem_writes <- c.mem_writes;
+  m.io_reads <- c.io_reads;
+  m.io_writes <- c.io_writes
 
 let make_ctx (m : t) : Aot_runtime.ctx =
-  let read8 (c : Aot_runtime.ctx) addr =
-    let addr = addr land 0xFFFF in
-    c.mem_reads <- c.mem_reads + 1;
-    if addr < Layout.io_size then begin
-      c.io_reads <- c.io_reads + 1;
-      if addr = spl_addr then c.sp land 0xFF
-      else if addr = sph_addr then (c.sp lsr 8) land 0xFF
-      else if addr = sreg_addr then c.sreg
-      else if addr >= 0x20 && addr < 0x60 then
-        Io.read m.io ~cycles:c.cycles (addr - 0x20)
-      else Char.code (Bytes.unsafe_get c.sram addr)
-    end
-    else if addr < Layout.data_size then Char.code (Bytes.unsafe_get c.sram addr)
-    else 0
+  let read8 c addr =
+    of_ctx m c;
+    let v = State.read8 m addr in
+    to_ctx m c;
+    v
   in
-  let write8 (c : Aot_runtime.ctx) addr v =
-    let addr = addr land 0xFFFF and v = v land 0xFF in
-    c.mem_writes <- c.mem_writes + 1;
-    if addr < Layout.io_size then begin
-      c.io_writes <- c.io_writes + 1;
-      if addr = spl_addr then c.sp <- (c.sp land 0xFF00) lor v
-      else if addr = sph_addr then c.sp <- (c.sp land 0x00FF) lor (v lsl 8)
-      else if addr = sreg_addr then c.sreg <- v
-      else if addr >= 0x20 && addr < 0x60 then
-        Io.write m.io ~cycles:c.cycles (addr - 0x20) v
-      else Bytes.unsafe_set c.sram addr (Char.unsafe_chr v)
-    end
-    else if addr < Layout.data_size then
-      Bytes.unsafe_set c.sram addr (Char.unsafe_chr v)
+  let write8 c addr v =
+    of_ctx m c;
+    State.write8 m addr v;
+    to_ctx m c
   in
   let io_in (c : Aot_runtime.ctx) a =
     c.mem_reads <- c.mem_reads + 1;
     c.io_reads <- c.io_reads + 1;
-    if a = Io.spl then c.sp land 0xFF
-    else if a = Io.sph then (c.sp lsr 8) land 0xFF
-    else if a = Io.sreg then c.sreg
-    else Io.read m.io ~cycles:c.cycles a
+    m.sp <- c.sp;
+    m.sreg <- c.sreg;
+    m.cycles <- c.cycles;
+    io_load m (Layout.io_data_addr a)
   in
   let io_out (c : Aot_runtime.ctx) a v =
     c.mem_writes <- c.mem_writes + 1;
     c.io_writes <- c.io_writes + 1;
-    if a = Io.spl then c.sp <- (c.sp land 0xFF00) lor v
-    else if a = Io.sph then c.sp <- (c.sp land 0x00FF) lor (v lsl 8)
-    else if a = Io.sreg then c.sreg <- v
-    else Io.write m.io ~cycles:c.cycles a v
-  in
-  let lpm (_ : Aot_runtime.ctx) z =
-    let w = Array.unsafe_get m.flash ((z lsr 1) land 0xFFFF) in
-    (if z land 1 = 0 then w else w lsr 8) land 0xFF
+    m.sp <- c.sp;
+    m.sreg <- c.sreg;
+    m.cycles <- c.cycles;
+    io_store m (Layout.io_data_addr a) v;
+    c.sp <- m.sp;
+    c.sreg <- m.sreg
   in
   { Aot_runtime.regs = m.regs;
     sram = m.sram;
@@ -1335,7 +1310,7 @@ let make_ctx (m : t) : Aot_runtime.ctx =
     write8;
     io_in;
     io_out;
-    lpm }
+    lpm = (fun _ z -> lpm_byte m z) }
 
 (* ------------------------------------------------------------------ *)
 (* Binding a machine to its compiled program. *)

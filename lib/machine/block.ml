@@ -1,23 +1,27 @@
 (* Tier-1 execution engine: a basic-block compiler for the simulated AVR.
 
-   On first execution of a program point, the run of decoded
-   instructions up to (and including) the next block-ending instruction
-   (unconditional branch/call/ret, SYSCALL, SLEEP, BREAK — see
-   {!Avr.Isa.ends_block}) is translated into a single closure that
+   Once a program point is hot, the superblock [form] finds there — the
+   decoded instructions up to (and including) the next block-ending
+   instruction (unconditional branch/call/ret, SYSCALL, SLEEP, BREAK —
+   see {!Avr.Isa.ends_block}) — is compiled into a single closure that
    executes the whole run with none of tier-0's per-instruction
    overhead: no run-loop stop checks, no decode-cache lookup, no trace
    option check, no PC update, no [Isa.words]/[Cycles.base] dispatch,
    and a single batched update of the retired-instruction counter.
 
-   Conditional branches do not end a block.  The compiler keeps
-   collecting the fall-through path and turns each BRBS/BRBC into an
-   in-body side exit, so a branchy inner loop (the common sensor-node
-   code shape) still compiles into one long superblock; a taken branch
+   Conditional branches do not end a block.  The former keeps
+   collecting the fall-through path and the compiler turns each
+   BRBS/BRBC into an in-body side exit, so a branchy inner loop (the
+   common sensor-node code shape) still compiles into one long
+   superblock; a taken branch
    sets the PC and leaves the block early with exact cycle and
    instruction accounting.
 
-   The body is a pre-decoded instruction array walked with direct
-   (jump-table) dispatch; per-instruction cycle costs are pre-computed
+   [form] is also tier 2's block former ({!Aot.discover}), so a block
+   entered at a given PC has the same shape in both compiled tiers.
+
+   The body is a pre-decoded instruction array walked by the inlined
+   {!State.exec_op}; per-instruction cycle costs are pre-computed
    into a parallel array, and runs of instructions that cannot touch the
    data space (and cannot exit) have their costs pre-summed onto the
    run's first entry, so a load/store still observes exactly the cycle
@@ -60,112 +64,46 @@ let () = assert ((max_body * 2) + 2 <= max_block_span)
 exception Side_exit
 exception Loop_back
 
-(* Walk a block body.  Every non-control arm must mirror the
-   corresponding arm of [State.step] exactly; PC, cycle and
-   retired-count bookkeeping belong to the block closure.  [targets]
-   holds, for each conditional branch, its pre-resolved taken-target
-   word address; a taken branch sets the PC, charges its extra cycle,
-   retires the instructions executed so far and raises {!Side_exit}.
-   The dispatch match lives inside the loop, so a block execution makes
-   no per-instruction calls at all. *)
-let exec_run m (ops : Isa.t array) (costs : int array) (targets : int array)
-    (loopb : bool array) n worst limit =
-  for idx = 0 to n - 1 do
-    m.cycles <- m.cycles + Array.unsafe_get costs idx;
-    match Array.unsafe_get ops idx with
-    | Isa.Brbs (s, _) ->
-      if (m.sreg lsr s) land 1 = 1 then begin
+(* Walk a block body.  [stops] holds the body index of every
+   conditional branch, then the body length: between two stops the walk
+   is a plain run of non-control instructions, each executed by the
+   inlined {!State.exec_op} behind a single dispatch (testing every
+   instruction for a branch first cost tier 1 about a tenth of its
+   throughput).  PC, cycle and retired-count bookkeeping belong to the
+   block closure.  For the [k]th branch, [targets.(k)] is its
+   pre-resolved taken-target word address and [loopb.(k)] whether that
+   is the block's own entry; a taken branch sets the PC, charges its
+   extra cycle, retires the instructions executed so far and raises
+   {!Side_exit}. *)
+let exec_run m (ops : Isa.t array) (costs : int array) (stops : int array)
+    (targets : int array) (loopb : bool array) worst limit =
+  let first = ref 0 in
+  for k = 0 to Array.length stops - 1 do
+    let stop = Array.unsafe_get stops k in
+    for idx = !first to stop - 1 do
+      m.cycles <- m.cycles + Array.unsafe_get costs idx;
+      exec_op m (Array.unsafe_get ops idx)
+    done;
+    if stop < Array.length ops then begin
+      m.cycles <- m.cycles + Array.unsafe_get costs stop;
+      let taken =
+        match Array.unsafe_get ops stop with
+        | Isa.Brbs (s, _) -> (m.sreg lsr s) land 1 = 1
+        | Isa.Brbc (s, _) -> (m.sreg lsr s) land 1 = 0
+        | _ -> false
+      in
+      if taken then begin
         m.cycles <- m.cycles + Cycles.branch_taken_extra;
-        m.insns <- m.insns + idx + 1;
-        if Array.unsafe_get loopb idx && m.cycles + worst <= limit then
+        m.insns <- m.insns + stop + 1;
+        if Array.unsafe_get loopb k && m.cycles + worst <= limit then
           raise_notrace Loop_back
         else begin
-          m.pc <- Array.unsafe_get targets idx;
+          m.pc <- Array.unsafe_get targets k;
           raise_notrace Side_exit
         end
-      end
-    | Isa.Brbc (s, _) ->
-      if (m.sreg lsr s) land 1 = 0 then begin
-        m.cycles <- m.cycles + Cycles.branch_taken_extra;
-        m.insns <- m.insns + idx + 1;
-        if Array.unsafe_get loopb idx && m.cycles + worst <= limit then
-          raise_notrace Loop_back
-        else begin
-          m.pc <- Array.unsafe_get targets idx;
-          raise_notrace Side_exit
-        end
-      end
-    | Isa.Nop | Wdr -> ()
-  | Movw (d, r) -> rs m (d) @@ (rg m (r)); rs m (d + 1) @@ (rg m (r + 1))
-  | Add (d, r) -> alu_add m d r ~carry:false
-  | Adc (d, r) -> alu_add m d r ~carry:true
-  | Sub (d, r) ->
-    rs m (d) @@ sub_flags m (rg m (d)) (rg m (r)) ~borrow:false ~keep_z:false
-  | Sbc (d, r) ->
-    rs m (d) @@ sub_flags m (rg m (d)) (rg m (r)) ~borrow:true ~keep_z:true
-  | And (d, r) -> alu_logic m d ((rg m (d)) land (rg m (r)))
-  | Or (d, r) -> alu_logic m d ((rg m (d)) lor (rg m (r)))
-  | Eor (d, r) -> alu_logic m d ((rg m (d)) lxor (rg m (r)))
-  | Mov (d, r) -> rs m (d) @@ (rg m (r))
-  | Cp (d, r) -> ignore (sub_flags m (rg m (d)) (rg m (r)) ~borrow:false ~keep_z:false)
-  | Cpc (d, r) -> ignore (sub_flags m (rg m (d)) (rg m (r)) ~borrow:true ~keep_z:true)
-  | Mul (d, r) -> op_mul m d r
-  | Cpi (d, k) -> ignore (sub_flags m (rg m (d)) k ~borrow:false ~keep_z:false)
-  | Sbci (d, k) -> rs m (d) @@ sub_flags m (rg m (d)) k ~borrow:true ~keep_z:true
-  | Subi (d, k) -> rs m (d) @@ sub_flags m (rg m (d)) k ~borrow:false ~keep_z:false
-  | Ori (d, k) -> alu_logic m d ((rg m (d)) lor k)
-  | Andi (d, k) -> alu_logic m d ((rg m (d)) land k)
-  | Ldi (d, k) -> rs m (d) @@ k
-  | Adiw (d, k) -> alu_adiw m d k ~sub:false
-  | Sbiw (d, k) -> alu_adiw m d k ~sub:true
-  | Com d -> op_com m d
-  | Neg d -> op_neg m d
-  | Swap d ->
-    let v = (rg m (d)) in
-    rs m (d) @@ ((v lsl 4) lor (v lsr 4)) land 0xFF
-  | Inc d -> op_inc m d
-  | Dec d -> op_dec m d
-  | Asr d -> op_asr m d
-  | Lsr d -> op_lsr m d
-  | Ror d -> op_ror m d
-  | Ld (d, p) -> rs m (d) @@ read8 m (ptr_addr m p)
-  | Ldd (d, b, q) ->
-    let base = match b with Ybase -> yreg m | Zbase -> zreg m in
-    rs m (d) @@ read8 m (base + q)
-  | St (p, r) -> write8 m (ptr_addr m p) (rg m (r))
-  | Std (b, q, r) ->
-    let base = match b with Ybase -> yreg m | Zbase -> zreg m in
-    write8 m (base + q) (rg m (r))
-  | Lds (d, a) -> rs m (d) @@ read8 m a
-  | Sts (a, r) -> write8 m a (rg m (r))
-  | Lpm (d, inc) ->
-    let z = zreg m in
-    let w = m.flash.((z lsr 1) land 0xFFFF) in
-    rs m (d) @@ (if z land 1 = 0 then w else w lsr 8) land 0xFF;
-    if inc then set_zreg m ((z + 1) land 0xFFFF)
-  | Push r -> push8 m (rg m (r))
-  | Pop d -> rs m (d) @@ pop8 m
-  | In (d, a) ->
-    m.mem_reads <- m.mem_reads + 1;
-    m.io_reads <- m.io_reads + 1;
-    rs m d @@
-      (if a = Io.spl then m.sp land 0xFF
-       else if a = Io.sph then (m.sp lsr 8) land 0xFF
-       else if a = Io.sreg then m.sreg
-       else Io.read m.io ~cycles:m.cycles a)
-  | Out (a, r) ->
-    m.mem_writes <- m.mem_writes + 1;
-    m.io_writes <- m.io_writes + 1;
-    let v = (rg m (r)) in
-    if a = Io.spl then m.sp <- (m.sp land 0xFF00) lor v
-    else if a = Io.sph then m.sp <- (m.sp land 0x00FF) lor (v lsl 8)
-    else if a = Io.sreg then m.sreg <- v
-    else Io.write m.io ~cycles:m.cycles a v
-  | Bset s -> set_flag m s true
-  | Bclr s -> set_flag m s false
-  | Rjmp _ | Rcall _ | Jmp _ | Call _ | Ijmp | Icall | Ret | Reti
-  | Sleep | Break | Syscall _ ->
-    invalid_arg "Block.exec_run: control instruction"
+      end;
+      first := stop + 1
+    end
   done
 
 (* Compile the block terminator into a closure.  [pc] is the
@@ -175,58 +113,58 @@ let exec_run m (ops : Isa.t array) (costs : int array) (targets : int array)
    [State.step].  The returned flag is the "benign" bit: [true] for pure
    control flow, [false] when the terminator can halt, sleep or trap. *)
 let compile_terminator (insn : Isa.t) ~pc : t -> bool =
-  let size = Isa.words insn in
-  let fall = (pc + size) land 0xFFFF in
+  let cost = Cycles.base insn in
+  let fall = (pc + Isa.words insn) land 0xFFFF in
   match insn with
   | Rjmp k ->
     let tgt = (pc + 1 + k) land 0xFFFF in
-    fun m -> m.cycles <- m.cycles + 2; m.pc <- tgt; true
+    fun m -> m.cycles <- m.cycles + cost; m.pc <- tgt; true
   | Rcall k ->
     let tgt = (pc + 1 + k) land 0xFFFF in
     fun m ->
-      m.cycles <- m.cycles + 3;
+      m.cycles <- m.cycles + cost;
       push_pc m fall;
       m.pc <- tgt;
       true
   | Jmp a ->
     let tgt = a land 0xFFFF in
-    fun m -> m.cycles <- m.cycles + 3; m.pc <- tgt; true
+    fun m -> m.cycles <- m.cycles + cost; m.pc <- tgt; true
   | Call a ->
     let tgt = a land 0xFFFF in
     fun m ->
-      m.cycles <- m.cycles + 4;
+      m.cycles <- m.cycles + cost;
       push_pc m fall;
       m.pc <- tgt;
       true
-  | Ijmp -> fun m -> m.cycles <- m.cycles + 2; m.pc <- zreg m; true
+  | Ijmp -> fun m -> m.cycles <- m.cycles + cost; m.pc <- zreg m; true
   | Icall ->
     fun m ->
-      m.cycles <- m.cycles + 3;
+      m.cycles <- m.cycles + cost;
       push_pc m fall;
       m.pc <- zreg m;
       true
-  | Ret -> fun m -> m.cycles <- m.cycles + 4; m.pc <- pop_pc m; true
+  | Ret -> fun m -> m.cycles <- m.cycles + cost; m.pc <- pop_pc m; true
   | Reti ->
     fun m ->
-      m.cycles <- m.cycles + 4;
+      m.cycles <- m.cycles + cost;
       m.pc <- pop_pc m;
       set_flag m fi true;
       true
   | Sleep ->
     fun m ->
-      m.cycles <- m.cycles + 1;
+      m.cycles <- m.cycles + cost;
       m.pc <- fall;
       m.sleeping <- true;
       false
   | Break ->
     fun m ->
-      m.cycles <- m.cycles + 1;
+      m.cycles <- m.cycles + cost;
       m.pc <- fall;
       m.halted <- Some Break_hit;
       false
   | Syscall k ->
     fun m ->
-      m.cycles <- m.cycles + 1;
+      m.cycles <- m.cycles + cost;
       m.pc <- fall;
       (match m.on_syscall with
        | Some f -> f m k
@@ -259,52 +197,82 @@ let presum_costs (ops : Isa.t array) : int array =
   done;
   costs
 
-(* Decode and compile the block entered at [entry].  Returns [None] when
-   the entry word itself is undecodable (tier-0 [step] then reports the
-   [Invalid_opcode] halt with the correct PC). *)
-let compile m entry : block option =
-  let fetch a = m.flash.(a land 0xFFFF) in
-  (* [body] accumulates (insn, own word address) in reverse. *)
-  let rec collect pc body n worst insns =
-    if n >= max_body then finish pc body None worst insns
+(* A superblock as found from flash alone: the unit tier 1 compiles to
+   a closure and tier 2 ({!Aot}) translates to a function. *)
+type superblock = {
+  body : (Isa.t * int) array;  (* (insn, own word address) *)
+  term : Isa.t option;  (* block-ending insn, at [term_pc]; None = cap *)
+  term_pc : int;
+  worst : int;  (* upper bound on cycles one execution consumes *)
+  retired : int;  (* instructions retired by a full (non-side-exit) run *)
+}
+
+(* Form the superblock entered at [entry] over [fetch]: decode up to
+   (and including) the next block-ending instruction, at most
+   [max_body] body instructions, keeping conditional branches as
+   in-body side exits.  [None] when the entry word itself is
+   undecodable; an undecodable word later on ends the block without a
+   terminator, like the cap. *)
+let form fetch entry : superblock option =
+  let rec go pc acc n worst insns =
+    if n >= max_body then fin pc acc None worst insns
     else
       match Decode.at fetch pc with
       | exception Decode.Unknown_opcode _ ->
-        if pc = entry then None else finish pc body None worst insns
+        if pc = entry then None else fin pc acc None worst insns
       | insn, size ->
         if Isa.ends_block insn then
-          finish pc body (Some insn) (worst + Cycles.base insn) (insns + 1)
+          fin pc acc (Some insn) (worst + Cycles.base insn) (insns + 1)
         else
           let extra =
             if Isa.is_cond_branch insn then Cycles.branch_taken_extra else 0
           in
-          collect (pc + size) ((insn, pc) :: body) (n + 1)
+          go (pc + size)
+            ((insn, pc) :: acc)
+            (n + 1)
             (worst + Cycles.base insn + extra)
             (insns + 1)
-  and finish pc body term worst insns =
-    let items = Array.of_list (List.rev body) in
-    let n = Array.length items in
-    let ops = Array.map fst items in
-    let targets =
-      Array.map
-        (fun (insn, p) ->
-          match insn with
-          | Isa.Brbs (_, k) | Isa.Brbc (_, k) ->
-            (p + Isa.words insn + k) land 0xFFFF
-          | _ -> 0)
-        items
-    in
+  and fin pc acc term worst insns =
+    Some
+      { body = Array.of_list (List.rev acc);
+        term;
+        term_pc = pc;
+        worst;
+        retired = insns }
+  in
+  go entry [] 0 0 0
+
+(* Compile and cache the block entered at [entry].  Returns [None] when
+   the entry word itself is undecodable (tier-0 [step] then reports the
+   [Invalid_opcode] halt with the correct PC). *)
+let compile m entry : block option =
+  match form (fun a -> m.flash.(a land 0xFFFF)) entry with
+  | None -> None
+  | Some sb ->
+    let n = Array.length sb.body in
+    let ops = Array.map fst sb.body in
+    (* Side exits, as (body index, taken target), in body order. *)
+    let exits = ref [] in
+    for i = n - 1 downto 0 do
+      match sb.body.(i) with
+      | ((Isa.Brbs (_, k) | Isa.Brbc (_, k)) as insn), p ->
+        exits := (i, (p + Isa.words insn + k) land 0xFFFF) :: !exits
+      | _ -> ()
+    done;
+    let stops = Array.of_list (List.map fst !exits @ [ n ]) in
+    let targets = Array.of_list (List.map snd !exits) in
     let tail =
-      match term with
-      | Some insn -> compile_terminator insn ~pc
+      match sb.term with
+      | Some insn -> compile_terminator insn ~pc:sb.term_pc
       | None ->
         (* Block cap reached or an undecodable word ahead: fall through
-           and let the run loop continue (or fault) at [pc]. *)
-        let next = pc land 0xFFFF in
+           and let the run loop continue (or fault) at [term_pc]. *)
+        let next = sb.term_pc land 0xFFFF in
         fun m -> m.pc <- next; true
     in
     let costs = presum_costs ops in
     let loopb = Array.map (fun t -> t = entry) targets in
+    let worst = sb.worst and insns = sb.retired in
     (* Block chaining: a benign exit (side exit or pure-control-flow
        terminator) transfers straight to the already-compiled target
        block when its worst case still fits the horizon, skipping the
@@ -315,7 +283,7 @@ let compile m entry : block option =
        block-cache invalidation. *)
     let rec exec m limit =
       try
-        exec_run m ops costs targets loopb n worst limit;
+        exec_run m ops costs stops targets loopb worst limit;
         m.insns <- m.insns + insns;
         if tail m then chain m limit else false
       with
@@ -331,10 +299,10 @@ let compile m entry : block option =
       match
         Array.unsafe_get (Array.unsafe_get m.blocks (pc lsr 8)) (pc land 0xFF)
       with
-      | Some b when m.cycles + b.worst <= limit -> b.exec m limit
+      | Some b when m.cycles + b.State.worst <= limit -> b.exec m limit
       | _ -> true (* not compiled yet or horizon too close: run loop *)
     in
-    let b = { exec; worst } in
+    let b = { exec; State.worst } in
     let ci = entry lsr 8 in
     let chunk =
       let c = m.blocks.(ci) in
@@ -347,8 +315,6 @@ let compile m entry : block option =
     in
     chunk.(entry land 0xFF) <- Some b;
     Some b
-  in
-  collect entry [] 0 0 0
 
 (** Allocate the (tiny) top-level chunk table on first use; the run loop
     indexes it directly on its hot path.  Chunks themselves are shared
@@ -368,21 +334,10 @@ let ensure m =
    state is untouched.  The counter bookkeeping lives entirely on the
    miss path: once compiled, lookups return the cached block without
    touching the heat table. *)
-let default_threshold =
-  match Sys.getenv_opt "SENSMART_TIER1_THRESHOLD" with
-  | Some s -> (match int_of_string_opt (String.trim s) with
-               | Some n when n >= 1 -> n
-               | _ -> 2)
-  | None -> 2
-
-let threshold = ref default_threshold
-
-(** Override the per-entry-PC compile threshold (>= 1; 1 compiles on
-    first execution, restoring the pre-threshold behaviour). *)
-let set_threshold n = threshold := max 1 n
+let compile_threshold = 2
 
 (** The compiled block entered at [pc], compiling and caching it once
-    [pc] has been looked up [threshold] times.  [None] below the
+    [pc] has been looked up [compile_threshold] times.  [None] below the
     threshold (caller steps via tier-0) and when the entry instruction
     is undecodable. *)
 let lookup m pc =
@@ -391,25 +346,22 @@ let lookup m pc =
   match Array.unsafe_get (Array.unsafe_get m.blocks (pc lsr 8)) (pc land 0xFF) with
   | Some _ as cached -> cached
   | None ->
-    if !threshold <= 1 then compile m pc
-    else begin
-      let ci = pc lsr 8 in
-      let chunk =
-        let c = Array.unsafe_get m.heat ci in
-        if c != no_heat then c
-        else begin
-          let c = Array.make chunk_words 0 in
-          m.heat.(ci) <- c;
-          c
-        end
-      in
-      let h = Array.unsafe_get chunk (pc land 0xFF) + 1 in
-      if h >= !threshold then begin
-        Array.unsafe_set chunk (pc land 0xFF) 0;
-        compile m pc
-      end
+    let ci = pc lsr 8 in
+    let chunk =
+      let c = Array.unsafe_get m.heat ci in
+      if c != no_heat then c
       else begin
-        Array.unsafe_set chunk (pc land 0xFF) h;
-        None
+        let c = Array.make chunk_words 0 in
+        m.heat.(ci) <- c;
+        c
       end
+    in
+    let h = Array.unsafe_get chunk (pc land 0xFF) + 1 in
+    if h >= compile_threshold then begin
+      Array.unsafe_set chunk (pc land 0xFF) 0;
+      compile m pc
+    end
+    else begin
+      Array.unsafe_set chunk (pc land 0xFF) h;
+      None
     end

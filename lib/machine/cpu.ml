@@ -2,23 +2,25 @@
 
    All machine state and the tier-0 single-step reference interpreter
    live in {!State} (re-exported here, so callers see one [Cpu] module).
-   This module owns the run loops:
+   This module owns the two run loops:
 
    - [run_interp] steps one instruction at a time through [step].  It is
      the reference tier and the only tier that fires the per-instruction
      [m.trace] hook.
-   - [run_blocks] executes tier-1 compiled basic blocks from {!Block}:
-     one cached closure per straight-line run, entered only when the
-     block's worst-case cycle cost fits under both the fuel and the
-     preemption horizon, so every stop point (Preempted / Out_of_fuel /
-     Sleeping / Halted) lands on exactly the cycle tier-0 would stop at.
-     Any miss — uncompilable entry, horizon too close, or a tracing
-     hook installed — falls back to a single tier-0 [step].
+   - [run_compiled] serves tiers 1 and 2.  Each iteration tries the
+     tier-2 ahead-of-time program ({!Aot}) when [m.tier >= 2], and
+     otherwise — or wherever that program has no code for the PC —
+     enters the tier-1 closure cached for the PC ({!Block}).  Compiled
+     code is entered only when its worst-case cycle cost fits under both
+     the fuel and the preemption horizon, so every stop point
+     (Preempted / Out_of_fuel / Sleeping / Halted) lands on exactly the
+     cycle tier-0 would stop at.  Any miss — cold or uncompilable entry,
+     horizon too close — falls back to a single tier-0 [step].
 
-   [run] picks the tier: tracing (or [~interp:true]) forces tier-0,
-   otherwise tier-1 runs and the per-instruction trace-option check
-   disappears from the hot path entirely (the compiled closures never
-   consult it). *)
+   [run] picks the loop: tracing (or [~interp:true], or tier 0) selects
+   [run_interp]; otherwise the per-instruction trace-option check
+   disappears from the hot path entirely (compiled code never consults
+   it). *)
 
 include State
 
@@ -42,22 +44,21 @@ let run_interp ?(max_cycles = max_int) m : stop =
   in
   loop ()
 
-(** Tier-1: same contract as [run_interp], executing compiled basic
-    blocks whenever the next block provably fits under both cycle
-    limits.  The horizon guard makes the two tiers stop-point
-    equivalent: a block is entered only if even its worst-case cost
-    cannot overrun [max_cycles] or [m.preempt_at], and otherwise the
-    machine single-steps right up to the limit exactly as tier-0
-    would. *)
-let run_blocks ?(max_cycles = max_int) m : stop =
+(** Tiers 1 and 2: same contract as [run_interp].  A tier-1 block is
+    entered only if even its worst-case cost cannot overrun [max_cycles]
+    or [m.preempt_at] (tier-2 code re-checks the same bound at every
+    block boundary); otherwise the machine single-steps right up to the
+    limit exactly as tier-0 would. *)
+let run_compiled ?(max_cycles = max_int) m : stop =
   Block.ensure m;
   (* [loop] is entered with the machine known live: not halted, not
      sleeping, and strictly below both cycle limits.  A compiled block
      whose terminator is pure control flow returns [true] ("benign"),
      letting the loop skip the halted/sleeping/trace re-checks; only
      SYSCALL, BREAK and SLEEP terminators (and tier-0 fallback steps)
-     can change those fields and route through [post_step]. *)
-  let rec loop () =
+     can change those fields and route through [post]. *)
+  let rec loop () = if m.tier >= 2 then tier2 () else tier1 ()
+  and tier1 () =
     let pc = m.pc land 0xFFFF in
     match
       Array.unsafe_get (Array.unsafe_get m.blocks (pc lsr 8)) (pc land 0xFF)
@@ -74,88 +75,31 @@ let run_blocks ?(max_cycles = max_int) m : stop =
           if m.cycles >= max_cycles then Out_of_fuel
           else if m.cycles >= m.preempt_at then Preempted
           else loop ()
-        else post_step ()
+        else post ()
       end
       else begin
         (* Worst case overruns a horizon: single-step to stay exactly
            on the stop point tier-0 would produce. *)
         step m;
-        post_step ()
+        post ()
       end
     | None ->
       (match Block.lookup m pc with
-       | Some _ -> loop ()
+       | Some _ -> tier1 ()
        | None ->
-         (* Undecodable entry: let the reference step report the halt. *)
+         (* Below the compile threshold, or an undecodable entry (the
+            reference step then reports the halt). *)
          step m;
-         post_step ())
-  and post_step () =
-    match m.halted with
-    | Some h -> Halted h
-    | None ->
-      if m.sleeping then begin
-        m.sleeping <- false;
-        Sleeping
-      end
-      else if m.cycles >= max_cycles then Out_of_fuel
-      else if m.cycles >= m.preempt_at then Preempted
-      else if m.trace <> None then
-        (* A hook appeared mid-run (e.g. installed by a syscall
-           handler): honour it instruction by instruction. *)
-        run_interp ~max_cycles m
-      else loop ()
-  in
-  match m.halted with
-  | Some h -> Halted h
-  | None ->
-    if m.cycles >= max_cycles then Out_of_fuel
-    else if m.cycles >= m.preempt_at then Preempted
-    else loop ()
-
-(** Tier-2: same contract again, entering ahead-of-time compiled code
-    (see {!Aot}) whenever the machine's flash has a compiled program
-    covering the current PC.  The compiled program chains superblocks
-    internally and returns through [ctx.stop]; every return reason maps
-    onto exactly the stop point the lower tiers would produce, and any
-    PC the program cannot serve — or a horizon too close for even one
-    block — falls back to one tier-1 iteration (which itself falls back
-    to tier-0), guaranteeing forward progress. *)
-let run_tier2 ?(max_cycles = max_int) m : stop =
-  Block.ensure m;
-  let rec loop () =
-    let ready =
-      match m.t2 with
-      | T2_ready (p, c) -> Some (p, c)
-      | T2_off -> None
-      | T2_unknown | T2_wait _ -> Aot.attempt m
-    in
-    match ready with
+         post ())
+  and tier2 () =
+    match Aot.attempt m with
     | Some (p, c) when p.Aot_runtime.has (m.pc land 0xFFFF) ->
-      let limit =
-        if max_cycles < m.preempt_at then max_cycles else m.preempt_at
-      in
-      c.Aot_runtime.pc <- m.pc land 0xFFFF;
-      c.sp <- m.sp;
-      c.sreg <- m.sreg;
-      c.cycles <- m.cycles;
-      c.insns <- m.insns;
-      c.mem_reads <- m.mem_reads;
-      c.mem_writes <- m.mem_writes;
-      c.io_reads <- m.io_reads;
-      c.io_writes <- m.io_writes;
-      c.limit <- limit;
+      Aot.to_ctx m c;
+      c.limit <- (if max_cycles < m.preempt_at then max_cycles else m.preempt_at);
       c.stop <- Aot_runtime.stop_miss;
       c.arg <- 0;
       p.enter c;
-      m.pc <- c.pc;
-      m.sp <- c.sp;
-      m.sreg <- c.sreg;
-      m.cycles <- c.cycles;
-      m.insns <- c.insns;
-      m.mem_reads <- c.mem_reads;
-      m.mem_writes <- c.mem_writes;
-      m.io_reads <- c.io_reads;
-      m.io_writes <- c.io_writes;
+      Aot.of_ctx m c;
       let s = c.stop in
       if s = Aot_runtime.stop_sleep then
         (* SLEEP terminator: same net effect as tier-0's set-then-clear
@@ -187,34 +131,8 @@ let run_tier2 ?(max_cycles = max_int) m : stop =
       end
       else
         (* PC left compiled coverage: serve one iteration from below. *)
-        tier1_once ()
-    | Some _ -> tier1_once ()
-    | None -> (
-      match m.t2 with
-      | T2_off ->
-        (* Off for this flash image (no toolchain, blank image, …):
-           hand the rest of the run to tier-1 wholesale. *)
-        run_blocks ~max_cycles m
-      | _ -> tier1_once ())
-  and tier1_once () =
-    (* One [run_blocks] iteration: cached block if it fits, else
-       compile-or-step via {!Block.lookup}'s heat gating. *)
-    let pc = m.pc land 0xFFFF in
-    let block =
-      match
-        Array.unsafe_get (Array.unsafe_get m.blocks (pc lsr 8)) (pc land 0xFF)
-      with
-      | Some _ as b -> b
-      | None -> Block.lookup m pc
-    in
-    (match block with
-     | Some b ->
-       let limit =
-         if max_cycles < m.preempt_at then max_cycles else m.preempt_at
-       in
-       if m.cycles + b.worst <= limit then ignore (b.exec m limit) else step m
-     | None -> step m);
-    post ()
+        tier1 ()
+    | _ -> tier1 ()
   and post () =
     match m.halted with
     | Some h -> Halted h
@@ -225,7 +143,10 @@ let run_tier2 ?(max_cycles = max_int) m : stop =
       end
       else if m.cycles >= max_cycles then Out_of_fuel
       else if m.cycles >= m.preempt_at then Preempted
-      else if m.trace <> None then run_interp ~max_cycles m
+      else if m.trace <> None then
+        (* A hook appeared mid-run (e.g. installed by a syscall
+           handler): honour it instruction by instruction. *)
+        run_interp ~max_cycles m
       else loop ()
   in
   match m.halted with
@@ -243,8 +164,7 @@ let run_tier2 ?(max_cycles = max_int) m : stop =
 let run ?(interp = false) ?tier ?(max_cycles = max_int) m : stop =
   (match tier with Some t -> m.tier <- t | None -> ());
   if interp || m.trace <> None || m.tier <= 0 then run_interp ~max_cycles m
-  else if m.tier = 1 then run_blocks ~max_cycles m
-  else run_tier2 ~max_cycles m
+  else run_compiled ~max_cycles m
 
 (** Run a standalone program to completion: SLEEP fast-forwards to the
     next peripheral wake-up, exactly like a bare-metal TinyOS-style app.

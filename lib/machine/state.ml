@@ -4,10 +4,10 @@
    One [t] models one mote MCU: 64 K words of flash, the 0x1100-byte data
    space of Figure 2, the 32 registers, SP, SREG, and the peripherals of
    {!Io}.  This module holds the state record, the memory/ALU primitives,
-   and [step] — the reference interpreter that executes exactly one
-   instruction.  The run loops (and the tier-1 basic-block engine that
-   {!Block} compiles against these primitives) live in {!Cpu}, which
-   re-exports everything here. *)
+   [exec_op] — the one definition of every non-control instruction,
+   shared by tiers 0 and 1 — and [step], the reference interpreter that
+   executes exactly one instruction.  The run loop lives in {!Cpu},
+   which re-exports everything here. *)
 
 open Avr
 
@@ -251,31 +251,46 @@ let spl_addr = Layout.io_data_addr Io.spl
 let sph_addr = Layout.io_data_addr Io.sph
 let sreg_addr = Layout.io_data_addr Io.sreg
 
-let read8 m addr =
-  let addr = addr land 0xFFFF in
-  m.mem_reads <- m.mem_reads + 1;
-  if addr < Layout.io_size then m.io_reads <- m.io_reads + 1;
-  if addr >= Layout.io_size then
-    if addr < Layout.data_size then Char.code (Bytes.unsafe_get m.sram addr)
-    else 0
-  else if addr = spl_addr then m.sp land 0xFF
+(* The I/O area (addresses below [Layout.io_size]), without the access
+   counters: SPL/SPH/SREG are CPU state, 0x20..0x5F the peripheral
+   registers, the rest plain memory.  The one definition of this
+   dispatch: [read8]/[write8] add the counters, and so do tier 2's
+   IN/OUT closures. *)
+let[@inline] io_load m addr =
+  if addr = spl_addr then m.sp land 0xFF
   else if addr = sph_addr then (m.sp lsr 8) land 0xFF
   else if addr = sreg_addr then m.sreg
   else if addr >= 0x20 && addr < 0x60 then Io.read m.io ~cycles:m.cycles (addr - 0x20)
   else Char.code (Bytes.unsafe_get m.sram addr)
 
-let write8 m addr v =
-  let addr = addr land 0xFFFF and v = v land 0xFF in
-  m.mem_writes <- m.mem_writes + 1;
-  if addr < Layout.io_size then m.io_writes <- m.io_writes + 1;
-  if addr >= Layout.io_size then begin
-    if addr < Layout.data_size then Bytes.unsafe_set m.sram addr (Char.unsafe_chr v)
-  end
-  else if addr = spl_addr then m.sp <- (m.sp land 0xFF00) lor v
+let[@inline] io_store m addr v =
+  if addr = spl_addr then m.sp <- (m.sp land 0xFF00) lor v
   else if addr = sph_addr then m.sp <- (m.sp land 0x00FF) lor (v lsl 8)
   else if addr = sreg_addr then m.sreg <- v
   else if addr >= 0x20 && addr < 0x60 then Io.write m.io ~cycles:m.cycles (addr - 0x20) v
   else Bytes.unsafe_set m.sram addr (Char.unsafe_chr v)
+
+let read8 m addr =
+  let addr = addr land 0xFFFF in
+  m.mem_reads <- m.mem_reads + 1;
+  if addr >= Layout.io_size then
+    if addr < Layout.data_size then Char.code (Bytes.unsafe_get m.sram addr)
+    else 0
+  else begin
+    m.io_reads <- m.io_reads + 1;
+    io_load m addr
+  end
+
+let write8 m addr v =
+  let addr = addr land 0xFFFF and v = v land 0xFF in
+  m.mem_writes <- m.mem_writes + 1;
+  if addr >= Layout.io_size then begin
+    if addr < Layout.data_size then Bytes.unsafe_set m.sram addr (Char.unsafe_chr v)
+  end
+  else begin
+    m.io_writes <- m.io_writes + 1;
+    io_store m addr v
+  end
 
 (** Little-endian 16-bit data-memory accessors (test/kernel convenience). *)
 let read16 m addr = read8 m addr lor (read8 m (addr + 1) lsl 8)
@@ -385,8 +400,7 @@ let alu_adiw m d k ~sub =
   set_shift_flags m ~c ~v ~n:r15 ~z:(if res = 0 then 1 else 0);
   set_pair m d res
 
-(* Single-register ALU ops, shared verbatim by tier-0 [step] and the
-   tier-1 block bodies so the two tiers cannot diverge. *)
+(* Single-register ALU ops (arms of [exec_op]). *)
 let op_com m d =
   let res = 0xFF - (rg m (d)) in
   let n = res lsr 7 in
@@ -489,6 +503,75 @@ let fetch_decode m pc =
        m.halted <- Some (Invalid_opcode (pc, w));
        Isa.Nop)
 
+(* Program-memory byte at Z byte address [z] (LPM's load). *)
+let[@inline] lpm_byte m z =
+  let w = Array.unsafe_get m.flash ((z lsr 1) land 0xFFFF) in
+  (if z land 1 = 0 then w else w lsr 8) land 0xFF
+
+(* Execute one non-control instruction: the only definition of these
+   instructions' semantics, inlined into tier-0 [step] and the tier-1
+   block walker ({!Block}).  PC, cycle and retired-count bookkeeping
+   belong to the callers.  IN/OUT are the data-space accesses at
+   [Layout.io_data_addr a], counters included. *)
+let[@inline] exec_op m (insn : Isa.t) =
+  match insn with
+  | Nop | Wdr -> ()
+  | Movw (d, r) -> rs m (d) @@ (rg m (r)); rs m (d + 1) @@ (rg m (r + 1))
+  | Add (d, r) -> alu_add m d r ~carry:false
+  | Adc (d, r) -> alu_add m d r ~carry:true
+  | Sub (d, r) ->
+    rs m (d) @@ sub_flags m (rg m (d)) (rg m (r)) ~borrow:false ~keep_z:false
+  | Sbc (d, r) ->
+    rs m (d) @@ sub_flags m (rg m (d)) (rg m (r)) ~borrow:true ~keep_z:true
+  | And (d, r) -> alu_logic m d ((rg m (d)) land (rg m (r)))
+  | Or (d, r) -> alu_logic m d ((rg m (d)) lor (rg m (r)))
+  | Eor (d, r) -> alu_logic m d ((rg m (d)) lxor (rg m (r)))
+  | Mov (d, r) -> rs m (d) @@ (rg m (r))
+  | Cp (d, r) -> ignore (sub_flags m (rg m (d)) (rg m (r)) ~borrow:false ~keep_z:false)
+  | Cpc (d, r) -> ignore (sub_flags m (rg m (d)) (rg m (r)) ~borrow:true ~keep_z:true)
+  | Mul (d, r) -> op_mul m d r
+  | Cpi (d, k) -> ignore (sub_flags m (rg m (d)) k ~borrow:false ~keep_z:false)
+  | Sbci (d, k) -> rs m (d) @@ sub_flags m (rg m (d)) k ~borrow:true ~keep_z:true
+  | Subi (d, k) -> rs m (d) @@ sub_flags m (rg m (d)) k ~borrow:false ~keep_z:false
+  | Ori (d, k) -> alu_logic m d ((rg m (d)) lor k)
+  | Andi (d, k) -> alu_logic m d ((rg m (d)) land k)
+  | Ldi (d, k) -> rs m (d) @@ k
+  | Adiw (d, k) -> alu_adiw m d k ~sub:false
+  | Sbiw (d, k) -> alu_adiw m d k ~sub:true
+  | Com d -> op_com m d
+  | Neg d -> op_neg m d
+  | Swap d ->
+    let v = (rg m (d)) in
+    rs m (d) @@ ((v lsl 4) lor (v lsr 4)) land 0xFF
+  | Inc d -> op_inc m d
+  | Dec d -> op_dec m d
+  | Asr d -> op_asr m d
+  | Lsr d -> op_lsr m d
+  | Ror d -> op_ror m d
+  | Ld (d, p) -> rs m (d) @@ read8 m (ptr_addr m p)
+  | Ldd (d, b, q) ->
+    let base = match b with Ybase -> yreg m | Zbase -> zreg m in
+    rs m (d) @@ read8 m (base + q)
+  | St (p, r) -> write8 m (ptr_addr m p) (rg m (r))
+  | Std (b, q, r) ->
+    let base = match b with Ybase -> yreg m | Zbase -> zreg m in
+    write8 m (base + q) (rg m (r))
+  | Lds (d, a) -> rs m (d) @@ read8 m a
+  | Sts (a, r) -> write8 m a (rg m (r))
+  | Lpm (d, inc) ->
+    let z = zreg m in
+    rs m (d) @@ lpm_byte m z;
+    if inc then set_zreg m ((z + 1) land 0xFFFF)
+  | Push r -> push8 m (rg m (r))
+  | Pop d -> rs m (d) @@ pop8 m
+  | In (d, a) -> rs m d @@ read8 m (Layout.io_data_addr a)
+  | Out (a, r) -> write8 m (Layout.io_data_addr a) (rg m r)
+  | Bset s -> set_flag m s true
+  | Bclr s -> set_flag m s false
+  | Brbs _ | Brbc _ | Rjmp _ | Rcall _ | Jmp _ | Call _ | Ijmp | Icall | Ret
+  | Reti | Sleep | Break | Syscall _ ->
+    invalid_arg "State.exec_op: control instruction"
+
 (** Execute exactly one instruction.  No-op if the machine is halted. *)
 let step m =
   if m.halted <> None then ()
@@ -503,72 +586,6 @@ let step m =
       m.cycles <- m.cycles + Cycles.base insn;
       m.insns <- m.insns + 1;
       match insn with
-      | Nop | Wdr -> ()
-      | Movw (d, r) -> rs m (d) @@ (rg m (r)); rs m (d + 1) @@ (rg m (r + 1))
-      | Add (d, r) -> alu_add m d r ~carry:false
-      | Adc (d, r) -> alu_add m d r ~carry:true
-      | Sub (d, r) ->
-        rs m (d) @@ sub_flags m (rg m (d)) (rg m (r)) ~borrow:false ~keep_z:false
-      | Sbc (d, r) ->
-        rs m (d) @@ sub_flags m (rg m (d)) (rg m (r)) ~borrow:true ~keep_z:true
-      | And (d, r) -> alu_logic m d ((rg m (d)) land (rg m (r)))
-      | Or (d, r) -> alu_logic m d ((rg m (d)) lor (rg m (r)))
-      | Eor (d, r) -> alu_logic m d ((rg m (d)) lxor (rg m (r)))
-      | Mov (d, r) -> rs m (d) @@ (rg m (r))
-      | Cp (d, r) -> ignore (sub_flags m (rg m (d)) (rg m (r)) ~borrow:false ~keep_z:false)
-      | Cpc (d, r) -> ignore (sub_flags m (rg m (d)) (rg m (r)) ~borrow:true ~keep_z:true)
-      | Mul (d, r) -> op_mul m d r
-      | Cpi (d, k) -> ignore (sub_flags m (rg m (d)) k ~borrow:false ~keep_z:false)
-      | Sbci (d, k) -> rs m (d) @@ sub_flags m (rg m (d)) k ~borrow:true ~keep_z:true
-      | Subi (d, k) -> rs m (d) @@ sub_flags m (rg m (d)) k ~borrow:false ~keep_z:false
-      | Ori (d, k) -> alu_logic m d ((rg m (d)) lor k)
-      | Andi (d, k) -> alu_logic m d ((rg m (d)) land k)
-      | Ldi (d, k) -> rs m (d) @@ k
-      | Adiw (d, k) -> alu_adiw m d k ~sub:false
-      | Sbiw (d, k) -> alu_adiw m d k ~sub:true
-      | Com d -> op_com m d
-      | Neg d -> op_neg m d
-      | Swap d ->
-        let v = (rg m (d)) in
-        rs m (d) @@ ((v lsl 4) lor (v lsr 4)) land 0xFF
-      | Inc d -> op_inc m d
-      | Dec d -> op_dec m d
-      | Asr d -> op_asr m d
-      | Lsr d -> op_lsr m d
-      | Ror d -> op_ror m d
-      | Ld (d, p) -> rs m (d) @@ read8 m (ptr_addr m p)
-      | Ldd (d, b, q) ->
-        let base = match b with Ybase -> yreg m | Zbase -> zreg m in
-        rs m (d) @@ read8 m (base + q)
-      | St (p, r) -> write8 m (ptr_addr m p) (rg m (r))
-      | Std (b, q, r) ->
-        let base = match b with Ybase -> yreg m | Zbase -> zreg m in
-        write8 m (base + q) (rg m (r))
-      | Lds (d, a) -> rs m (d) @@ read8 m a
-      | Sts (a, r) -> write8 m a (rg m (r))
-      | Lpm (d, inc) ->
-        let z = zreg m in
-        let w = m.flash.((z lsr 1) land 0xFFFF) in
-        rs m (d) @@ (if z land 1 = 0 then w else w lsr 8) land 0xFF;
-        if inc then set_zreg m ((z + 1) land 0xFFFF)
-      | Push r -> push8 m (rg m (r))
-      | Pop d -> rs m (d) @@ pop8 m
-      | In (d, a) ->
-        m.mem_reads <- m.mem_reads + 1;
-        m.io_reads <- m.io_reads + 1;
-        rs m d @@
-          (if a = Io.spl then m.sp land 0xFF
-           else if a = Io.sph then (m.sp lsr 8) land 0xFF
-           else if a = Io.sreg then m.sreg
-           else Io.read m.io ~cycles:m.cycles a)
-      | Out (a, r) ->
-        m.mem_writes <- m.mem_writes + 1;
-        m.io_writes <- m.io_writes + 1;
-        let v = (rg m (r)) in
-        if a = Io.spl then m.sp <- (m.sp land 0xFF00) lor v
-        else if a = Io.sph then m.sp <- (m.sp land 0x00FF) lor (v lsl 8)
-        else if a = Io.sreg then m.sreg <- v
-        else Io.write m.io ~cycles:m.cycles a v
       | Rjmp k -> m.pc <- (pc + 1 + k) land 0xFFFF
       | Rcall k -> push_pc m (pc + 1); m.pc <- (pc + 1 + k) land 0xFFFF
       | Jmp a -> m.pc <- a land 0xFFFF
@@ -587,14 +604,13 @@ let step m =
           m.pc <- (pc + size + k) land 0xFFFF;
           m.cycles <- m.cycles + Cycles.branch_taken_extra
         end
-      | Bset s -> set_flag m s true
-      | Bclr s -> set_flag m s false
       | Sleep -> m.sleeping <- true
       | Break -> m.halted <- Some Break_hit
       | Syscall k ->
         (match m.on_syscall with
          | Some f -> f m k
          | None -> m.halted <- Some (Fault (Printf.sprintf "syscall %d with no kernel" k)))
+      | op -> exec_op m op
     end
   end
 

@@ -106,9 +106,12 @@ module R = struct
     | 1 -> Some (f r)
     | v -> corrupt "bad option tag %d" v
 
+  (* Every list or array element takes at least one byte, so a length
+     beyond the bytes that remain is corrupt: reject it before
+     allocating. *)
   let list r f =
     let n = int r in
-    if n < 0 then corrupt "negative list length %d" n;
+    if n < 0 || n > r.limit - r.pos then corrupt "bad list length %d at %d" n r.pos;
     List.init n (fun _ -> f r)
 
   let u16_array r =
@@ -123,7 +126,8 @@ module R = struct
 
   let int_array r =
     let n = int r in
-    if n < 0 then corrupt "negative int array length %d" n;
+    if n < 0 || n > r.limit - r.pos then
+      corrupt "bad int array length %d at %d" n r.pos;
     Array.init n (fun _ -> int r)
 end
 

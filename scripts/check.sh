@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 dune build @all
 dune runtest
 
+# Benchmark-runner helper tests (percentiles, self time, process
+# schedule, pooling, result schema); pure Python, no build needed.
+python3 perfbench/run.py --self-test
+
 # API reference: every public .mli must keep building under odoc.
 # Gated on the tool being installed so local dev loops without odoc
 # still work; CI installs it, so doc breakage fails the build there.

@@ -277,6 +277,31 @@ let corrupt_inputs_rejected () =
       (contains msg "version")
   | Ok _ -> Alcotest.fail "accepted a future format version"
 
+(* Regression: a length varint larger than the bytes that remain must be
+   rejected before anything is allocated.  Overwriting five bytes near
+   the tail of a bare-machine snapshot with the varint 2^32-1 once made
+   [of_string] escape with [Out_of_memory] instead of returning [Error];
+   the same overwrite at every offset of the tail must decode or fail
+   with [Error], nothing else. *)
+let oversized_lengths_rejected () =
+  let m = boot_machine (image "crc") in
+  ignore (Machine.Cpu.run ~max_cycles:20_000 m);
+  let data = Snapshot.to_string (Snapshot.of_machine m) in
+  let patched at =
+    let b = Bytes.of_string data in
+    Bytes.blit_string "\xff\xff\xff\xff\x0f" 0 b at 5;
+    Bytes.to_string b
+  in
+  (match Snapshot.of_string (patched 135460) with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "accepted a 2^32-1 element length");
+  for at = String.length data - 256 to String.length data - 5 do
+    match Snapshot.of_string (patched at) with
+    | Ok _ | Error _ -> ()
+    | exception e ->
+      Alcotest.failf "varint at %d escaped: %s" at (Printexc.to_string e)
+  done
+
 let save_load_file () =
   let s = captured_kernel_snapshot () in
   let path = Filename.temp_file "sensmart" ".snap" in
@@ -406,6 +431,8 @@ let () =
        [ Alcotest.test_case "round-trip" `Quick serialization_round_trip;
          Alcotest.test_case "corrupt inputs rejected" `Quick
            corrupt_inputs_rejected;
+         Alcotest.test_case "oversized lengths rejected" `Quick
+           oversized_lengths_rejected;
          Alcotest.test_case "save/load file" `Quick save_load_file ]);
       ("compatibility",
        [ Alcotest.test_case "incompatible hosts rejected" `Quick

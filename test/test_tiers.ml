@@ -170,6 +170,43 @@ let cow_invalidation () =
     (m2.Machine.Cpu.flash == tpl);
   Alcotest.(check int) "mote 2 undisturbed" 5 (rerun m2)
 
+(* One machine run in [max_cycles] slices with the tier ceiling rotating
+   2, 1, 0, 2, ... between [Cpu.run] calls: the tier-2 binding and the
+   tier-1 block cache must survive the slices other tiers run, and the
+   final state must be a single tier-0 run's bit for bit.  SLEEP
+   fast-forwards to the next wake-up as in [Cpu.run_native]. *)
+let rotating_tiers () =
+  let total = 200_000_000 in
+  (* Slice lengths vary so the cuts land at many different points. *)
+  let slice i = 97 + (i * 7919 mod 2003) in
+  List.iter
+    (fun name ->
+      let img = Option.get (Workloads.Registry.find_image name) in
+      let m = Machine.Cpu.create () in
+      Machine.Cpu.load m img.words;
+      List.iter (fun (a, b) -> Machine.Cpu.write8 m a b) img.data_init;
+      m.pc <- img.entry;
+      let rec go i =
+        let tier = [| 2; 1; 0 |].(i mod 3) in
+        let max_cycles = min total (m.cycles + slice i) in
+        match Machine.Cpu.run ~tier ~max_cycles m with
+        | Halted _ -> ()
+        | Sleeping ->
+          let wake = Machine.Cpu.next_wake m in
+          if wake <> max_int && wake <= total then begin
+            Machine.Cpu.fast_forward m wake;
+            go (i + 1)
+          end
+        | Preempted ->
+          m.preempt_at <- max_int;
+          go (i + 1)
+        | Out_of_fuel -> if m.cycles < total then go (i + 1)
+      in
+      go 0;
+      check_snapshots (name ^ ": rotating tiers") (native_snap ~tier:0 img)
+        (snapshot m))
+    [ "crc"; "timer"; "periodic"; "crc_mc" ]
+
 (* Fault containment under tier-2: the same seeded plan replayed at
    tier 0 and at tier 2 must produce identical final state. *)
 let fault_tier2 () =
@@ -269,6 +306,7 @@ let () =
          Alcotest.test_case "shared-flash self-patch invalidation" `Quick
            cow_invalidation;
          Alcotest.test_case "fault plan differential" `Quick fault_tier2;
+         Alcotest.test_case "rotating tier ceiling" `Quick rotating_tiers;
          Alcotest.test_case "fleet 1/2/4 domains" `Slow fleet_tier2;
          Alcotest.test_case "randomized programs (preloaded)" `Slow fuzz_tier2 ]);
       ("fuzz", List.map Gen.to_alcotest [ prop_tiers ]) ]
